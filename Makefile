@@ -12,7 +12,8 @@ GATE_COUNT ?= 9
 
 .PHONY: test collect lint lint-deep format docs-check test-lock-order \
 	bench-smoke bench-warm bench-stream bench-batch bench-reshard \
-	bench-adapt bench-kernel bench-dynamic bench-trend bench
+	bench-adapt bench-kernel bench-dynamic bench-trend bench \
+	perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -114,6 +115,19 @@ bench-kernel:
 bench-dynamic:
 	PYTHONPATH=src REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_dynamic_serving.py -q
+
+# Repository-benchmark smoke: every workload BENCHMARK.json declares,
+# for one second, untraced. perfbench/run.py exits non-zero when an
+# operation failed or an answer differs from the hash-join oracle, which
+# fails this target.
+perfbench-smoke:
+	workloads=$$($(PYTHON) -c "import json; print(' '.join(w['name'] \
+		for w in json.load(open('BENCHMARK.json'))['workloads']))") \
+		&& [ -n "$$workloads" ] || exit 1; \
+	for workload in $$workloads; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 1 --trace 0 || exit 1; \
+	done
 
 # Perf-trajectory gate: folds every gate's recorded speedup into one
 # $(TRAJECTORY) artifact and fails if any gate fell below its pinned

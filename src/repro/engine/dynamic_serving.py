@@ -533,27 +533,27 @@ class DynamicSnapshotStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
 
-    def _base(self, label: str) -> Path:
+    def _path(self, label: str, suffix: str) -> Path:
+        # The suffix is appended, never substituted: a slug such as
+        # ``tau_8.0`` has a dot, and cutting there would drop the digest.
         slug = (
             re.sub(r"[^A-Za-z0-9._-]+", "_", label)[:64].strip("._")
             or "dynamic"
         )
         digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
-        return self.directory / f"{slug}-{digest}"
+        return self.directory / f"{slug}-{digest}{suffix}"
 
     def snapshot_path(self, label: str) -> Path:
         """Where one label's representation snapshot lives."""
-        return self._base(label).with_suffix(self.SNAP_SUFFIX)
+        return self._path(label, self.SNAP_SUFFIX)
 
     def meta_path(self, label: str) -> Path:
         """Where one label's sidecar meta record lives."""
-        base = self._base(label)
-        return base.with_name(base.name + self.META_SUFFIX)
+        return self._path(label, self.META_SUFFIX)
 
     def log_path(self, label: str) -> Path:
         """Where one label's delta event log lives."""
-        base = self._base(label)
-        return base.with_name(base.name + self.LOG_SUFFIX)
+        return self._path(label, self.LOG_SUFFIX)
 
     def save(
         self,

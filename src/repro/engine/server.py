@@ -629,10 +629,11 @@ class ViewServer:
         Warm start is per relation: the stored meta's fingerprints are
         compared against the current database relation by relation, and
         only a view whose *referenced* relations all match loads from
-        disk (then replays the delta log's suffix). Anything else —
-        missing meta, changed relation, unreadable snapshot — falls
-        through to :meth:`_build_dynamic`, which replicas override to
-        refuse.
+        disk (then replays the delta log's suffix). A matching meta
+        whose snapshot is missing or unreadable keeps its delta history
+        through :meth:`_replay_from_base`. Anything else — missing
+        meta, changed relation — falls through to :meth:`_build_dynamic`,
+        which replicas override to refuse.
         """
         store = self._dynamic_store
         if store is not None:
@@ -646,26 +647,65 @@ class ViewServer:
                     if stored.get(relation) != origin[relation]
                 )
                 if not changed:
-                    dynamic = None
                     try:
                         dynamic = store.load(label)
-                    except SnapshotError:
-                        # Unusable snapshot bytes: fall through to the
-                        # build path (replicas refuse there instead).
-                        dynamic = None
-                    if dynamic is not None:
-                        version = int(meta["version"])
-                        for record in store.read_log(label):
-                            if record.version <= version:
-                                continue
-                            dynamic.apply_deltas(
-                                record.relation,
-                                record.inserts,
-                                record.deletes,
-                            )
-                            version = record.version
-                        return dynamic, version, True
+                    except SnapshotError as error:
+                        return self._replay_from_base(
+                            registration, rebuild_fraction, label, meta, error
+                        )
+                    version = int(meta["version"])
+                    for record in store.read_log(label):
+                        if record.version <= version:
+                            continue
+                        dynamic.apply_deltas(
+                            record.relation,
+                            record.inserts,
+                            record.deletes,
+                        )
+                        version = record.version
+                    return dynamic, version, True
         return self._build_dynamic(registration, rebuild_fraction), 0, False
+
+    def _replay_from_base(
+        self,
+        registration: Registration,
+        rebuild_fraction: float,
+        label: str,
+        meta: Mapping,
+        error: SnapshotError,
+    ) -> Tuple[DynamicRepresentation, int, bool]:
+        """Recover a dynamic view whose meta is valid but snapshot is not.
+
+        The referenced base relations match the meta's fingerprints, and
+        cold registration starts the delta log at version 1, so building
+        from the base data and replaying the whole log reaches the same
+        serving version without losing an applied delta. The rebuilt
+        snapshot is written back so the next restart is warm again. A
+        log that does not hold every version since registration cannot
+        be replayed; that raises instead of cold-starting, which would
+        silently drop the applied deltas from durable state.
+        """
+        store = self._dynamic_store
+        records = store.read_log(label)
+        versions = [record.version for record in records]
+        if versions != list(range(1, len(records) + 1)) or len(
+            records
+        ) < int(meta["version"]):
+            raise SnapshotError(
+                f"dynamic snapshot {store.snapshot_path(label)} is "
+                f"unusable ({error}) and the delta log "
+                f"{store.log_path(label)} does not hold every version "
+                f"since registration; delete {store.meta_path(label)} "
+                "to cold-start from the base data"
+            ) from error
+        dynamic = self._build_dynamic(registration, rebuild_fraction)
+        for record in records:
+            dynamic.apply_deltas(
+                record.relation, record.inserts, record.deletes
+            )
+        if self._writes_dynamic_snapshots:
+            store.save(label, dynamic, len(records), meta["relations"])
+        return dynamic, len(records), True
 
     def _build_dynamic(
         self, registration: Registration, rebuild_fraction: float

@@ -7,6 +7,20 @@ monotone under taking subsets, so the search is exact). Finding these widths
 is NP-hard in general (Section 6), so larger instances fall back to the
 min-fill heuristic.
 
+The search stays exact while solving few LPs. Each bag's ρ* is first
+sandwiched between two integers: a packing of bag vertices that pairwise
+share no edge (every fractional cover pays at least 1 per packed vertex,
+since their incident edges are disjoint) and a greedy integral edge cover
+(a feasible cover, so at least ρ*). When the two meet, that integer is
+ρ* itself, which is the common case on paths and stars; only the other bags
+go to :func:`~repro.hypergraph.covers.fractional_edge_cover`. The DP then
+skips any candidate vertex whose bag lower bound or remaining-order value
+already reaches the best value found at that state: such a candidate cannot
+win the strict ``<`` comparison, so the width and the elimination order
+chosen are the same as with every bag solved by LP. The LP weights
+themselves are still computed wherever they are used (structures and
+:func:`bag_delta_cover`); only the width search takes the shortcut.
+
 The δ-width of a V_b-connex decomposition (Section 3.2) relies on the
 per-bag quantity ``ρ+_t = min_u (Σ_F u_F − δ(t)·α(V_f^t))`` which
 :func:`bag_delta_cover` solves as a single LP (u and α jointly, following
@@ -18,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -49,6 +62,71 @@ def rho_star(
 ) -> float:
     """The fractional edge cover number ρ*(subset) (default: all vertices)."""
     return fractional_edge_cover(hypergraph, subset).value
+
+
+# ----------------------------------------------------------------------
+# ρ*(bag) for the width search: a bound sandwich, LP only when it is open
+# ----------------------------------------------------------------------
+class _BagCosts:
+    """Memoized ρ*(bag) for one hypergraph, solving an LP only when needed.
+
+    Every bag gets two integral bounds first. The lower bound is a greedy
+    set of bag vertices no two of which lie in a common edge: their sets of
+    incident edges are disjoint and each must receive weight ≥ 1, so every
+    fractional cover spends at least one unit per chosen vertex. The upper
+    bound is a greedy integral edge cover of the bag. ρ* lies between them,
+    so when they meet (in particular when one edge contains the whole bag)
+    that integer *is* ρ*; only bags whose bounds differ reach
+    :func:`fractional_edge_cover`.
+    """
+
+    def __init__(self, hypergraph: Hypergraph):
+        self._hypergraph = hypergraph
+        self._adjacency = hypergraph.primal_neighbors()
+        self._edges = [members for _, members in hypergraph.edges]
+        self._bounds: Dict[FrozenSet[Variable], Tuple[int, float]] = {}
+        self._values: Dict[FrozenSet[Variable], float] = {}
+
+    def bounds(self, bag: FrozenSet[Variable]) -> Tuple[int, float]:
+        """``(lower, upper)`` integral bounds on ρ*(bag), found without an
+        LP; ``upper`` is ``math.inf`` when some bag vertex is in no edge."""
+        bounds = self._bounds.get(bag)
+        if bounds is not None:
+            return bounds
+        adjacency = self._adjacency
+        packed = 0
+        blocked: Set[Variable] = set()
+        # Fewest in-bag neighbours first; names break ties so the bounds,
+        # and hence the LP count, repeat across processes.
+        for x in sorted(bag, key=lambda x: (len(adjacency[x] & bag), x.name)):
+            if x not in blocked:
+                packed += 1
+                blocked |= adjacency[x]
+        uncovered = set(bag)
+        cover: float = 0
+        while uncovered:
+            widest = max(
+                self._edges, key=lambda e: len(e & uncovered), default=frozenset()
+            )
+            if not widest & uncovered:
+                cover = math.inf  # uncoverable: the LP reports the error
+                break
+            uncovered -= widest
+            cover += 1
+        bounds = self._bounds[bag] = (packed, cover)
+        return bounds
+
+    def value(self, bag: FrozenSet[Variable]) -> float:
+        """ρ*(bag): the sandwich's value when it closes, else the LP's."""
+        value = self._values.get(bag)
+        if value is None:
+            lower, upper = self.bounds(bag)
+            if lower == upper:
+                value = float(lower)
+            else:
+                value = fractional_edge_cover(self._hypergraph, bag).value
+            self._values[bag] = value
+        return value
 
 
 # ----------------------------------------------------------------------
@@ -84,19 +162,27 @@ def _closed_neighborhood(
 def _elimination_search(
     hypergraph: Hypergraph,
     connex: FrozenSet[Variable],
-    bag_cost: Callable[[FrozenSet[Variable]], float],
     exhaustive_limit: int = 14,
 ) -> Tuple[float, List[Variable]]:
-    """Min over elimination orders of the max bag cost; returns (value, order).
+    """Min over elimination orders of the max bag ρ*; returns (value, order).
 
     Orders range over the non-connex vertices. Uses memoized DP over the
     subset of already-eliminated vertices; falls back to min-fill beyond
     ``exhaustive_limit`` free vertices.
+
+    The DP keeps the first vertex (in ``hypergraph.vertices`` order) whose
+    value is strictly smallest. A candidate whose bag lower bound already
+    reaches the best value so far cannot be strictly smaller, so neither
+    its bag nor its remaining orders are evaluated; one whose
+    remaining-order value reaches it is skipped before its bag is costed.
+    Every state the DP does evaluate gets its exact minimum, so the width
+    and the chosen vertices are the same as with every bag costed.
     """
     free = tuple(v for v in hypergraph.vertices if v not in connex)
     adjacency = hypergraph.primal_neighbors()
     if not free:
         return 0.0, []
+    costs = _BagCosts(hypergraph)
     if len(free) > exhaustive_limit:
         order = _min_fill_order(hypergraph, connex)
         eliminated: Set[Variable] = set()
@@ -105,16 +191,9 @@ def _elimination_search(
             bag = frozenset({v}) | _closed_neighborhood(
                 adjacency, v, frozenset(eliminated)
             )
-            worst = max(worst, bag_cost(bag))
+            worst = max(worst, costs.value(bag))
             eliminated.add(v)
         return worst, order
-
-    cost_cache: Dict[FrozenSet[Variable], float] = {}
-
-    def cached_cost(bag: FrozenSet[Variable]) -> float:
-        if bag not in cost_cache:
-            cost_cache[bag] = bag_cost(bag)
-        return cost_cache[bag]
 
     memo: Dict[FrozenSet[Variable], Tuple[float, Optional[Variable]]] = {}
     all_free = frozenset(free)
@@ -129,7 +208,12 @@ def _elimination_search(
             if v in eliminated:
                 continue
             bag = frozenset({v}) | _closed_neighborhood(adjacency, v, eliminated)
-            value = max(cached_cost(bag), best(eliminated | {v})[0])
+            if costs.bounds(bag)[0] >= best_value:
+                continue
+            rest = best(eliminated | {v})[0]
+            if rest >= best_value:
+                continue
+            value = max(costs.value(bag), rest)
             if value < best_value:
                 best_value, best_vertex = value, v
         memo[eliminated] = (best_value, best_vertex)
@@ -148,16 +232,7 @@ def _elimination_search(
 
 def fhw(hypergraph: Hypergraph, exhaustive_limit: int = 14) -> float:
     """The fractional hypertree width of a hypergraph (exact when small)."""
-    cover_cache: Dict[FrozenSet[Variable], float] = {}
-
-    def cost(bag: FrozenSet[Variable]) -> float:
-        if bag not in cover_cache:
-            cover_cache[bag] = fractional_edge_cover(hypergraph, bag).value
-        return cover_cache[bag]
-
-    value, _ = _elimination_search(
-        hypergraph, frozenset(), cost, exhaustive_limit
-    )
+    value, _ = _elimination_search(hypergraph, frozenset(), exhaustive_limit)
     return value
 
 
@@ -173,11 +248,7 @@ def connex_fhw(
     realizes by never costing the root bag.
     """
     connex = frozenset(connex_set)
-
-    def cost(bag: FrozenSet[Variable]) -> float:
-        return fractional_edge_cover(hypergraph, bag).value
-
-    value, order = _elimination_search(hypergraph, connex, cost, exhaustive_limit)
+    value, order = _elimination_search(hypergraph, connex, exhaustive_limit)
     decomposition = connex_decomposition_from_order(hypergraph, connex, order)
     return value, decomposition
 

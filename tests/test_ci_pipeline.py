@@ -228,6 +228,15 @@ class TestWorkflowSchema:
         ]
         assert any("make bench-dynamic" in line for line in run_lines)
 
+    def test_bench_smoke_job_runs_the_repository_benchmark(self, workflow):
+        # Every perfbench workload runs briefly in CI; a wrong answer or
+        # a failed operation exits non-zero and fails the job.
+        run_lines = [
+            step.get("run", "")
+            for step in workflow["jobs"]["bench-smoke"]["steps"]
+        ]
+        assert any("make perfbench-smoke" in line for line in run_lines)
+
     def test_bench_smoke_job_runs_the_trajectory_gate(self, workflow):
         # The trajectory gate runs after every speedup gate recorded its
         # measurement, folding them into the uploaded artifact.
@@ -382,6 +391,17 @@ class TestMakefileContract:
         target = target[: target.index("\n\n")]
         assert "bench_dynamic_serving.py" in target
         assert "REPRO_BENCH_SMOKE=1" in target
+
+    def test_perfbench_smoke_runs_every_declared_workload(self, make_targets):
+        assert "perfbench-smoke" in make_targets
+        text = MAKEFILE.read_text()
+        target = text[text.index("perfbench-smoke:"):]
+        target = target[: target.index("\n\n")]
+        assert "perfbench/run.py" in target
+        assert "--seconds 1" in target and "--trace 0" in target
+        assert "|| exit 1" in target
+        # The workload list is read from BENCHMARK.json, not copied.
+        assert "BENCHMARK.json" in target
 
     def test_docs_check_runs_the_link_checker(self):
         text = MAKEFILE.read_text()

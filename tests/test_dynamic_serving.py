@@ -325,6 +325,90 @@ class TestWarmStart:
         assert meta is not None and meta["version"] == 1
         server.close()
 
+    def test_labels_differing_after_a_dot_get_distinct_paths(self, tmp_path):
+        store = DynamicSnapshotStore(tmp_path)
+        labels = ["tri|abc|tau=8.0|fixed|None", "tri|abc|tau=8.5|fixed|None"]
+        paths = [store.snapshot_path(label) for label in labels]
+        assert paths[0] != paths[1]
+        for label, path in zip(labels, paths):
+            # The snapshot shares its base name with the meta and the log.
+            base = path.name[: -len(store.SNAP_SUFFIX)]
+            assert store.meta_path(label).name == base + store.META_SUFFIX
+            assert store.log_path(label).name == base + store.LOG_SUFFIX
+
+    def test_tau_8_does_not_warm_load_a_saved_tau_8_5(self, tmp_path):
+        db = chain_database()
+        for tau in (8.0, 8.5):
+            server = ViewServer(db, snapshot_dir=tmp_path)
+            server.register_dynamic(VIEW_TEXT, tau=tau)
+            server.close()
+        warm = ViewServer(db, snapshot_dir=tmp_path)
+        name = warm.register_dynamic(VIEW_TEXT, tau=8.0)
+        # Warm from τ=8.0's own snapshot, not the τ=8.5 one saved last.
+        assert warm.total_builds() == 0
+        assert warm._dynamic_state(name).dynamic.tau == 8.0
+        warm.close()
+
+    def test_snapshot_saved_under_the_truncated_name_keeps_history(
+        self, tmp_path
+    ):
+        db = chain_database()
+        server = ViewServer(db, snapshot_dir=tmp_path)
+        name = server.register_dynamic(VIEW_TEXT, tau=8.0)
+        server.apply_deltas("R", inserts=[(1, 3)])
+        server.apply_deltas("S", deletes=[(4, 7)], inserts=[(4, 9)])
+        answers = all_answers(server, name, [(1,), (2,), (3,)])
+        version = server.delta_version(name)
+        label = server._dynamic_state(name).label
+        server.close()
+        # Move the snapshot to where ``with_suffix`` used to put it: the
+        # name cut at the dot in ``tau_8.0``, digest dropped.
+        store = DynamicSnapshotStore(tmp_path / "dynamic")
+        path = store.snapshot_path(label)
+        stem = path.name[: -len(store.SNAP_SUFFIX)]
+        path.rename(path.with_name(stem).with_suffix(store.SNAP_SUFFIX))
+        log = store.log_path(label).read_text()
+
+        upgraded = ViewServer(db, snapshot_dir=tmp_path)
+        name = upgraded.register_dynamic(VIEW_TEXT, tau=8.0)
+        # Rebuilt from the base data plus the whole log: every applied
+        # delta survives, the log is kept and the snapshot rewritten.
+        assert upgraded.delta_version(name) == version
+        assert all_answers(upgraded, name, [(1,), (2,), (3,)]) == answers
+        assert upgraded.total_builds() == 1
+        assert store.log_path(label).read_text() == log
+        assert store.snapshot_path(label).exists()
+        upgraded.close()
+
+        warm = ViewServer(db, snapshot_dir=tmp_path)
+        name = warm.register_dynamic(VIEW_TEXT, tau=8.0)
+        assert warm.delta_version(name) == version
+        assert warm.total_builds() == 0
+        warm.close()
+
+    def test_missing_snapshot_with_a_gapped_log_fails_loudly(
+        self, tmp_path
+    ):
+        db = chain_database()
+        server = ViewServer(db, snapshot_dir=tmp_path)
+        name = server.register_dynamic(VIEW_TEXT, tau=8.0)
+        server.apply_deltas("R", inserts=[(1, 3)])
+        server.apply_deltas("S", inserts=[(4, 9)])
+        label = server._dynamic_state(name).label
+        server.close()
+        store = DynamicSnapshotStore(tmp_path / "dynamic")
+        store.snapshot_path(label).unlink()
+        log = store.log_path(label)
+        log.write_text(log.read_text().splitlines(keepends=True)[1])
+
+        restarted = ViewServer(db, snapshot_dir=tmp_path)
+        with pytest.raises(SnapshotError, match="every version"):
+            restarted.register_dynamic(VIEW_TEXT, tau=8.0)
+        # Nothing was cold-started over the remaining history.
+        assert len(log.read_text().splitlines()) == 1
+        assert store.load_meta(label) is not None
+        restarted.close()
+
 
 class TestDeltaRecords:
     def test_payload_round_trip(self):

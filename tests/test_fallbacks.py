@@ -24,9 +24,10 @@ from repro.workloads.queries import path_view, triangle_view
 
 class TestMinFillFallback:
     def test_long_path_uses_heuristic_and_stays_valid(self):
-        """P_10 has 9 interior variables: beyond the default exhaustive
-        limit for full enumeration, min-fill still finds the optimal
-        width-1 decomposition for this easy shape."""
+        """P_10 has 11 variables, all free here: within the default
+        exhaustive limit of 14, so a limit of 4 forces min-fill, which
+        still finds the optimal width-1 decomposition for this easy
+        shape."""
         view = path_view(10, pattern="f" * 11)
         hg = hypergraph_of_view(view)
         width = fhw(hg, exhaustive_limit=4)  # force the heuristic
@@ -60,16 +61,10 @@ class TestMinFillFallback:
         view = path_view(4)
         hg = hypergraph_of_view(view)
         exact, _ = _elimination_search(
-            hg,
-            frozenset(view.bound_variables),
-            lambda bag: fractional_edge_cover(hg, bag).value,
-            exhaustive_limit=14,
+            hg, frozenset(view.bound_variables), exhaustive_limit=14
         )
         heuristic, _ = _elimination_search(
-            hg,
-            frozenset(view.bound_variables),
-            lambda bag: fractional_edge_cover(hg, bag).value,
-            exhaustive_limit=1,
+            hg, frozenset(view.bound_variables), exhaustive_limit=1
         )
         assert heuristic >= exact - 1e-9  # heuristic never reports better
         assert heuristic == pytest.approx(2.0, abs=1e-6)
