@@ -57,13 +57,15 @@ test-lock-order:
 		tests/test_lock_order.py
 
 # The smoke run writes a JSON report and fails if any benchmark errored
-# or the run silently collected nothing — CI gates on it.
+# or the run silently collected nothing — CI gates on it. The Theorem 2
+# path bench checks its served answers against a hash-join oracle.
 bench-smoke:
 	mkdir -p $(dir $(SMOKE_REPORT))
 	PYTHONPATH=src REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_engine_serving.py benchmarks/bench_async_serving.py \
+		benchmarks/bench_e10_path_decomposition.py \
 		-q --benchmark-json=$(SMOKE_REPORT)
-	$(PYTHON) benchmarks/check_smoke_report.py $(SMOKE_REPORT) 5
+	$(PYTHON) benchmarks/check_smoke_report.py $(SMOKE_REPORT) 8
 
 # Warm-start gate: fails unless a restarted server warms from its
 # snapshot directory >= 5x faster than the cold build (and the

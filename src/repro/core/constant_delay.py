@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core import layout as layout_mod
-from repro.core.kernel import nested_product_rows
+from repro.core.decomposed import BagPlan
 from repro.database.catalog import Database
 from repro.database.index import TrieIndex
 from repro.exceptions import DecompositionError, QueryError
@@ -95,6 +94,12 @@ class _Bag:
     index: Dict[Tuple, List[Tuple]]  # bound values -> sorted free values
 
 
+def _counted(rows: Iterable[Tuple], counter: JoinCounter) -> Iterator[Tuple]:
+    for row in rows:
+        counter.steps += 1
+        yield row
+
+
 class ConnexConstantDelayStructure:
     """Proposition 4: constant delay in ``O(|D|^{fhw(H|V_b)})`` space."""
 
@@ -129,12 +134,13 @@ class ConnexConstantDelayStructure:
         self._semijoin_reduce()
         for bag in self._bags.values():
             bag.index = self._build_index(bag)
-        self._root_checks = self._build_root_checks()
-        self._preorder = [
-            node
+        bags = [
+            self._bags[node]
             for node in decomposition.preorder()
             if node != decomposition.root
         ]
+        self._plan = BagPlan(self.view, self.hypergraph, self.db, bags)
+        self._indexes = [bag.index for bag in bags]
         self._count_index = self._build_count_index()
         self.build_seconds = time.perf_counter() - started
 
@@ -198,19 +204,6 @@ class ConnexConstantDelayStructure:
             values.sort()
         return index
 
-    def _build_root_checks(self):
-        bound = frozenset(self.view.bound_variables)
-        bound_positions = {
-            var: index for index, var in enumerate(self.view.bound_variables)
-        }
-        checks = []
-        for label, members in self.hypergraph.edges:
-            if members <= bound:
-                atom = self.view.atoms[label]
-                positions = tuple(bound_positions[t] for t in atom.terms)
-                checks.append((self.db[atom.relation], positions))
-        return checks
-
     # ------------------------------------------------------------------
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
@@ -219,49 +212,23 @@ class ConnexConstantDelayStructure:
 
         Yields value tuples over the free head variables, in head order.
         The enumeration order follows the decomposition's pre-order, as
-        Theorem 2 notes.
+        Theorem 2 notes. A counter is charged one step per bag lookup
+        and one per row it yields.
         """
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected {len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        free_order = self.view.free_variables
-        bags = self._preorder
-        if counter is None and layout_mod.kernel_enabled():
-            # Counter-less requests take the flattened kernel walk over
-            # the same pre-sorted bag indexes — identical rows and order,
-            # no per-bag generator nesting.
-            specs = [
-                (bag.bound_vars, bag.free_vars, bag.index)
-                for bag in (self._bags[node] for node in bags)
-            ]
-            yield from nested_product_rows(specs, assignment, free_order)
+        plan = self._plan
+        values = plan.values(access, counter)
+        if values is None:
             return
+        indexes, accesses = self._indexes, plan.accesses
 
-        def recurse(position: int) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            key = tuple(assignment[v] for v in bag.bound_vars)
-            if counter is not None:
-                counter.steps += 1
-            for values in bag.index.get(key, ()):
-                if counter is not None:
-                    counter.steps += 1
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(position + 1)
+        def visit(position: int) -> Iterable[Tuple]:
+            rows = indexes[position].get(accesses[position](values), ())
+            if counter is None:
+                return rows
+            counter.steps += 1
+            return _counted(rows, counter)
 
-        yield from recurse(0)
+        yield from plan.walk(values, visit)
 
     def answer(self, access: Sequence) -> List[Tuple]:
         return list(self.enumerate(access))
@@ -322,17 +289,10 @@ class ConnexConstantDelayStructure:
         Multiplies the subtree counts of the root's children (independent
         given the bound values) after the O(1) root membership checks.
         """
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if tuple(access[p] for p in positions) not in relation:
-                return 0
-        assignment = dict(zip(bound_order, access))
+        values = self._plan.values(access, None)
+        if values is None:
+            return 0
+        assignment = dict(zip(self.view.bound_variables, values))
         total = 1
         for child in self.decomposition.children[self.decomposition.root]:
             bag = self._bags[child]

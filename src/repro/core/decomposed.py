@@ -15,7 +15,14 @@ Construction (Section 5, Appendices B–C):
    (Algorithm 5): each bag enumerates its free variables given the values
    fixed by its ancestors, giving delay ``Õ(|D|^h)`` where ``h`` is the
    δ-height — multiplicative along a root-to-leaf path, additive across
-   branches.
+   branches. A bag's answers depend only on its bag access, so answers
+   share per-bag sub-results within a request: the first visit to a
+   ``(bag, bag access)`` pair records the rows it streams, and later
+   visits replay them. The memo lives as long as the request's iterator
+   and holds one row list per distinct bag access the request touched —
+   never more rows than the un-memoized walk enumerates. Counted
+   requests walk without it, so their steps (and measured delays) stay
+   exactly Algorithm 5's.
 
 The enumeration order is lexicographic per bag but globally depends on the
 decomposition, exactly as the paper notes after Theorem 2.
@@ -25,7 +32,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.structure import (
     CompressedRepresentation,
@@ -54,14 +72,127 @@ from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.rewriting import normalize_view
 
 
+#: Per bag position, each walked bag access's complete row list.
+_Memo = List[Dict[Tuple, List[Tuple]]]
+
+
 @dataclass
 class _BagStructure:
     """One non-root bag: its induced view and Theorem 1 structure."""
 
-    node: object
     bound_vars: Tuple[Variable, ...]
     free_vars: Tuple[Variable, ...]
     representation: CompressedRepresentation
+
+
+def _picker(slots: Sequence[int]) -> Callable[[List], Tuple]:
+    """``values -> tuple(values[s] for s in slots)``, without a generator."""
+    if len(slots) == 1:
+        only = slots[0]
+        return lambda values: (values[only],)
+    return itemgetter(*slots) if slots else lambda values: ()
+
+
+def _recording(
+    rows: Iterator[Tuple], table: Dict[Tuple, List[Tuple]], key: Tuple
+) -> Iterator[Tuple]:
+    """Stream ``rows`` while recording them; file the list once complete.
+
+    An abandoned walk never reaches the end, so a partial list is never
+    replayed as if it were the bag's whole answer.
+    """
+    recorded = []
+    for row in rows:
+        recorded.append(row)
+        yield row
+    table[key] = recorded
+
+
+class BagPlan:
+    """Algorithm 5's nested pre-order walk over bags, without recursion.
+
+    A request's values live in one flat list: slots ``0..|V_b|-1`` hold
+    the access, then each bag's free variables take one contiguous
+    slice, bags in pre-order (a variable is free in exactly one bag, the
+    topmost containing it). Both Theorem 2 structures walk with it —
+    :class:`DecomposedRepresentation` over per-bag Theorem 1 structures,
+    :class:`~repro.core.constant_delay.ConnexConstantDelayStructure`
+    over materialized bag indexes.
+    """
+
+    def __init__(self, view: AdornedView, hypergraph, db: Database, bags):
+        slot = {v: i for i, v in enumerate(view.bound_variables)}
+        bound = frozenset(slot)
+        # Section 5.1: an atom inside V_b filters accesses at the root.
+        self.root_checks = []
+        for label, members in hypergraph.edges:
+            if members <= bound:
+                atom = view.atoms[label]
+                positions = tuple(slot[t] for t in atom.terms)
+                self.root_checks.append((db[atom.relation], positions))
+        self.bound_count = len(slot)
+        self.accesses: List[Callable[[List], Tuple]] = []
+        self.frees: List[slice] = []
+        for bag in bags:
+            low = len(slot)
+            slot.update((v, low + i) for i, v in enumerate(bag.free_vars))
+            self.accesses.append(_picker([slot[v] for v in bag.bound_vars]))
+            self.frees.append(slice(low, len(slot)))
+        self.width = len(slot)
+        self.output_slots = [slot[v] for v in view.free_variables]
+        self.output = _picker(self.output_slots)
+
+    def values(
+        self, access: Sequence, counter: Optional[JoinCounter]
+    ) -> Optional[List]:
+        """The request's value list; None when a root check rejects it."""
+        access = tuple(access)
+        if len(access) != self.bound_count:
+            raise QueryError(
+                f"access tuple has {len(access)} values, expected "
+                f"{self.bound_count}"
+            )
+        for relation, positions in self.root_checks:
+            if counter is not None:
+                counter.steps += 1
+            if tuple(access[p] for p in positions) not in relation:
+                return None
+        return list(access) + [None] * (self.width - len(access))
+
+    def walk(
+        self, values: List, visit: Callable[[int], Iterable[Tuple]]
+    ) -> Iterator[Tuple]:
+        """Every answer, in the decomposition's nesting order.
+
+        An explicit stack holds one iterator per bag position, over
+        ``visit(position)``: that bag's rows for the values its
+        ancestors' current rows fixed. Each row is written into the
+        bag's slots and opens the next position; the last position's
+        rows are the answers.
+        """
+        frees, output = self.frees, self.output
+        last = len(frees) - 1
+        if last < 0:
+            yield output(values)
+            return
+        innermost = frees[last]
+        # Entries above 0 are replaced on each descent before use.
+        iterators: List[Iterator[Tuple]] = [iter(visit(0))] * (last + 1)
+        position = 0
+        while position >= 0:
+            if position == last:
+                for row in iterators[last]:
+                    values[innermost] = row
+                    yield output(values)
+                position -= 1
+                continue
+            row = next(iterators[position], None)
+            if row is None:
+                position -= 1
+                continue
+            values[frees[position]] = row
+            position += 1
+            iterators[position] = iter(visit(position))
 
 
 class DecomposedRepresentation:
@@ -133,12 +264,7 @@ class DecomposedRepresentation:
             self._refine_dictionaries()
         for bag in self._bags.values():
             bag.representation.compile_layout()
-        self._root_checks = self._build_root_checks()
-        self._preorder = [
-            node
-            for node in decomposition.preorder()
-            if node != decomposition.root
-        ]
+        self._plan_walk()
         self.build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -183,7 +309,6 @@ class DecomposedRepresentation:
             bag_view, bag_db, tau=tau, weights=weights, compile_layout=False
         )
         return _BagStructure(
-            node=node,
             bound_vars=bound_vars,
             free_vars=free_vars,
             representation=representation,
@@ -236,19 +361,6 @@ class DecomposedRepresentation:
         bag = self._bags[child]
         access = tuple(valuation[v] for v in bag.bound_vars)
         return bag.representation.exists(access)
-
-    def _build_root_checks(self):
-        bound = frozenset(self.view.bound_variables)
-        bound_positions = {
-            var: index for index, var in enumerate(self.view.bound_variables)
-        }
-        checks = []
-        for label, members in self.hypergraph.edges:
-            if members <= bound:
-                atom = self.view.atoms[label]
-                positions = tuple(bound_positions[t] for t in atom.terms)
-                checks.append((self.db[atom.relation], positions))
-        return checks
 
     # ------------------------------------------------------------------
     # explicit state (the snapshot boundary)
@@ -324,7 +436,6 @@ class DecomposedRepresentation:
             for bag_state in state["bags"]:
                 node = bag_state["node"]
                 self._bags[node] = _BagStructure(
-                    node=node,
                     bound_vars=tuple(
                         Variable(name) for name in bag_state["bound"]
                     ),
@@ -335,17 +446,12 @@ class DecomposedRepresentation:
                         bag_state["representation"]
                     ),
                 )
-            self._root_checks = self._build_root_checks()
-            self._preorder = [
-                node
-                for node in decomposition.preorder()
-                if node != decomposition.root
-            ]
-            missing = [n for n in self._preorder if n not in self._bags]
+            missing = [n for n in decomposition.non_root_nodes() if n not in self._bags]
             if missing:
                 raise SnapshotError(
                     f"decomposed snapshot missing bag structures {missing!r}"
                 )
+            self._plan_walk()
             self.build_seconds = state["build_seconds"]
             return self
         except SnapshotError:
@@ -358,43 +464,100 @@ class DecomposedRepresentation:
     # ------------------------------------------------------------------
     # Algorithm 5: query answering
     # ------------------------------------------------------------------
+    def _plan_walk(self) -> None:
+        decomposition = self.decomposition
+        self._preorder = [
+            node
+            for node in decomposition.preorder()
+            if node != decomposition.root
+        ]
+        bags = [self._bags[node] for node in self._preorder]
+        self._plan = BagPlan(self.view, self.hypergraph, self.db, bags)
+        self._representations = [bag.representation for bag in bags]
+
+    def _walk(
+        self,
+        access: Sequence,
+        counter: Optional[JoinCounter],
+        memo: Optional[_Memo],
+        start_values: Optional[Sequence] = None,
+    ) -> Iterator[Tuple]:
+        """The one Algorithm 5 walk behind every entry point.
+
+        With ``memo`` (one dict per bag position), a ``(position, bag
+        access)`` row list is recorded while it is first walked —
+        streaming, so no answer waits on a bag's full list — and
+        replayed on every later visit. With ``start_values``, positions
+        on the tight prefix seek through the bag's own
+        ``enumerate_from``; released positions walk in full.
+        """
+        plan = self._plan
+        seeking = start_values is not None
+        if seeking and len(start_values) != len(plan.output_slots):
+            raise QueryError(
+                f"start tuple has {len(start_values)} values, expected "
+                f"{len(plan.output_slots)}"
+            )
+        values = plan.values(access, counter)
+        if values is None:
+            return
+        accesses, frees = plan.accesses, plan.frees
+        representations = self._representations
+        tight = [seeking] * len(frees)  # position p opened with a seek
+        if seeking:
+            for slot, value in zip(plan.output_slots, start_values):
+                values[slot] = value
+            starts = [values[free] for free in frees]
+
+        def visit(position: int) -> Iterator[Tuple]:
+            representation = representations[position]
+            bag_access = accesses[position](values)
+            if seeking:
+                if position:
+                    above = position - 1
+                    tight[position] = (
+                        tight[above] and values[frees[above]] == starts[above]
+                    )
+                if tight[position]:
+                    return representation.enumerate_from(
+                        bag_access, tuple(starts[position]), counter=counter
+                    )
+            if memo is None:
+                return representation.enumerate(bag_access, counter=counter)
+            table = memo[position]
+            rows = table.get(bag_access)
+            if rows is not None:
+                return iter(rows)
+            return _recording(
+                representation.enumerate(bag_access, counter=counter),
+                table,
+                bag_access,
+            )
+
+        yield from plan.walk(values, visit)
+
+    def _request_memo(self, counter: Optional[JoinCounter]) -> Optional[_Memo]:
+        """A fresh memo for one counter-less request; none when counted.
+
+        A counted request walks every bag visit in full, so its step
+        counts (and ``delay_steps_max``) stay exactly Algorithm 5's
+        instead of depending on which bag accesses happened to repeat.
+        """
+        if counter is not None:
+            return None
+        return [{} for _ in self._representations]
+
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
     ) -> Iterator[Tuple]:
         """Answer an access request; yields free-variable tuples, head order.
 
         The per-bag enumerations are lexicographic; the global order is the
-        decomposition's pre-order nesting (Theorem 2's caveat).
+        decomposition's pre-order nesting (Theorem 2's caveat). Without a
+        counter, answers share per-bag sub-results through a memo that
+        lives as long as this iterator (see :meth:`_walk`).
         """
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected {len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        free_order = self.view.free_variables
-        bags = self._preorder
-
-        def recurse(position: int) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            bag_access = tuple(assignment[v] for v in bag.bound_vars)
-            for values in bag.representation.enumerate(
-                bag_access, counter=counter
-            ):
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(position + 1)
-
-        yield from recurse(0)
+        return self._walk(access, counter, self._request_memo(counter))
 
     def enumerate_from(
         self,
@@ -415,61 +578,12 @@ class DecomposedRepresentation:
         The seek is hierarchical: while a prefix of bags sits exactly on
         the start point, each bag resumes via its own Theorem 1
         ``enumerate_from``; the first bag to move strictly past its
-        start value releases all deeper bags to enumerate in full.
+        start value releases all deeper bags to enumerate in full (and,
+        without a counter, to share sub-results through the memo).
         """
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(bound_order)}"
-            )
-        free_order = self.view.free_variables
-        start_values = tuple(start_values)
-        if len(start_values) != len(free_order):
-            raise QueryError(
-                f"start tuple has {len(start_values)} values, expected "
-                f"{len(free_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
-        position_of = {v: i for i, v in enumerate(free_order)}
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        bags = self._preorder
-        starts = {
-            node: tuple(
-                start_values[position_of[v]]
-                for v in self._bags[node].free_vars
-            )
-            for node in bags
-        }
-
-        def recurse(position: int, tight: bool) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            bag_access = tuple(assignment[v] for v in bag.bound_vars)
-            bag_start = starts[bags[position]]
-            if tight:
-                iterator = bag.representation.enumerate_from(
-                    bag_access, bag_start, counter=counter
-                )
-            else:
-                iterator = bag.representation.enumerate(
-                    bag_access, counter=counter
-                )
-            for values in iterator:
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(
-                    position + 1, tight and values == bag_start
-                )
-
-        yield from recurse(0, True)
+        return self._walk(
+            access, counter, self._request_memo(counter), tuple(start_values)
+        )
 
     def enumerate_after(
         self,
@@ -496,17 +610,14 @@ class DecomposedRepresentation:
         """Answer a group of access requests sharing per-bag enumerations.
 
         The decomposition's analogue of the Theorem 1 merged descent:
-        Algorithm 5 nests per-bag enumerations, and a bag's access tuple
-        is determined by the ancestor valuation — so access tuples that
-        agree on a bound prefix keep asking the bags the same
-        sub-requests. One scan-scoped memo of per-``(bag, bag access)``
-        answer lists is shared across the whole group (and across the
-        recursion's own re-entries, which already re-enumerate bags once
-        per outer valuation): each distinct bag access is enumerated
-        once per scan. Yields ``(slot, values)`` events; each slot's own
-        event subsequence equals its :meth:`enumerate` stream
-        (:meth:`enumerate_from` when ``starts`` names a seek point —
-        seeked slots bypass the memo, keeping their tight-prefix seek).
+        a bag's access tuple is determined by the ancestor valuation, so
+        access tuples that agree on a bound prefix keep asking the bags
+        the same sub-requests. The walker's memo is made once for the
+        whole scan instead of once per request: each distinct bag access
+        is enumerated once per scan. Yields ``(slot, values)`` events;
+        each slot's own event subsequence equals its :meth:`enumerate`
+        stream (:meth:`enumerate_from` when ``starts`` names a seek
+        point — the tight prefix seeks, released bags share the memo).
         Counters observe a memoized bag access only on its first
         enumeration. ``cache`` is accepted for signature compatibility
         with the Theorem 1 scan (trie descents are per bag here);
@@ -514,66 +625,16 @@ class DecomposedRepresentation:
         """
         if alive is None:
             alive = [True] * len(accesses)
-        memo: Dict[Tuple, List[Tuple]] = {}
+        memo: _Memo = [{} for _ in self._representations]
         for index, access in enumerate(accesses):
             if not alive[index]:
                 continue
             start = starts[index] if starts is not None else None
             counter = counters[index] if counters is not None else None
-            if start is not None:
-                iterator = self.enumerate_from(access, start, counter=counter)
-            else:
-                iterator = self._memo_enumerate(access, memo, counter)
-            for row in iterator:
+            for row in self._walk(access, counter, memo, start):
                 yield (index, row)
                 if not alive[index]:
                     break
-
-    def _memo_enumerate(
-        self,
-        access: Sequence,
-        memo: Dict[Tuple, List[Tuple]],
-        counter: Optional[JoinCounter],
-    ) -> Iterator[Tuple]:
-        """:meth:`enumerate` with bag answers memoized across a scan."""
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        free_order = self.view.free_variables
-        bags = self._preorder
-
-        def bag_rows(bag: _BagStructure, bag_access: Tuple) -> List[Tuple]:
-            key = (bag.node, bag_access)
-            rows = memo.get(key)
-            if rows is None:
-                rows = list(
-                    bag.representation.enumerate(bag_access, counter=counter)
-                )
-                memo[key] = rows
-            return rows
-
-        def recurse(position: int) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            bag_access = tuple(assignment[v] for v in bag.bound_vars)
-            for values in bag_rows(bag, bag_access):
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(position + 1)
-
-        yield from recurse(0)
 
     def answer(self, access: Sequence) -> List[Tuple]:
         return list(self.enumerate(access))

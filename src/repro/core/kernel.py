@@ -16,11 +16,6 @@ produced streams are bit-identical. The kernel is only entered for
 counter-less enumerations (measured runs keep the reference path and its
 exact step accounting), which is what makes the equivalence a construction
 property rather than a tuning promise.
-
-:func:`nested_product_rows` is the same idea for the materialized
-constant-delay structures: the recursive per-bag generator nest of
-Proposition 4 flattened into one loop with bulk emission at the deepest
-bag.
 """
 
 from __future__ import annotations
@@ -401,56 +396,3 @@ def kernel_shared_enumerate(
         left = tree.left[node_id]
         if left >= 0:
             stack.append((_VISIT, left, heavy))
-
-
-# ----------------------------------------------------------------------
-# flattened nested-bag product (constant-delay structures)
-# ----------------------------------------------------------------------
-def nested_product_rows(bag_specs, assignment, free_order) -> Iterator[Tuple]:
-    """Iterative twin of the Proposition 4 nested-bag enumeration.
-
-    ``bag_specs`` is a pre-order list of ``(bound_vars, free_vars, index)``
-    triples over materialized bags; ``assignment`` holds the bound
-    valuation and is extended in place. Emission order matches the
-    recursive reference exactly (bag index lists are pre-sorted); the
-    deepest bag is emitted as one bulk run per parent valuation.
-    """
-    count = len(bag_specs)
-    if count == 0:
-        yield tuple(assignment[v] for v in free_order)
-        return
-
-    def rows_at(position):
-        bound_vars, _free_vars, index = bag_specs[position]
-        return index.get(
-            tuple(assignment[v] for v in bound_vars), ()
-        )
-
-    last = count - 1
-    if count == 1:
-        free_vars = bag_specs[0][1]
-        for values in rows_at(0):
-            for var, value in zip(free_vars, values):
-                assignment[var] = value
-            yield tuple(assignment[v] for v in free_order)
-        return
-    iterators: List = [None] * count
-    iterators[0] = iter(rows_at(0))
-    position = 0
-    while position >= 0:
-        values = next(iterators[position], None)
-        if values is None:
-            position -= 1
-            continue
-        free_vars = bag_specs[position][1]
-        for var, value in zip(free_vars, values):
-            assignment[var] = value
-        if position + 1 == last:
-            last_free = bag_specs[last][1]
-            for last_values in rows_at(last):
-                for var, value in zip(last_free, last_values):
-                    assignment[var] = value
-                yield tuple(assignment[v] for v in free_order)
-        else:
-            position += 1
-            iterators[position] = iter(rows_at(position))

@@ -289,11 +289,6 @@ class AsyncViewServer:
         return self.backend.views()
 
     @property
-    def is_sharded(self) -> bool:
-        """True when the wrapped backend is a :class:`ShardedViewServer`."""
-        return isinstance(self.backend, ShardedViewServer)
-
-    @property
     def replicas(self) -> Tuple[ViewServer, ...]:
         """The read replicas this facade balances read batches across."""
         return self._replicas
@@ -302,11 +297,6 @@ class AsyncViewServer:
     def telemetry(self) -> Optional[Telemetry]:
         """The telemetry sink (owned, shared, or adopted), or ``None``."""
         return self._telemetry
-
-    @property
-    def replica_loads(self) -> Tuple[int, ...]:
-        """In-flight batch counts per replica (the balancer's view)."""
-        return tuple(self._replica_pending)
 
     # ------------------------------------------------------------------
     # balancing and admission

@@ -49,11 +49,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    BinaryIO,
     Callable,
     Dict,
     Iterator,
@@ -484,13 +486,6 @@ class DynamicViewState:
             self._events.clear()
             return generations
 
-    def all_generations(self) -> Tuple[int, ...]:
-        """Cache generations of every live version (for unregister)."""
-        with self._lock:
-            return tuple(
-                live.generation for live in self._versions.values()
-            )
-
     def save_to(self, store: "DynamicSnapshotStore") -> int:
         """Write the representation snapshot + meta; returns its version.
 
@@ -610,23 +605,33 @@ class DynamicSnapshotStore:
                 f"delta rows must be JSON-representable to be durable: "
                 f"{error}"
             ) from error
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        with path.open("ab+") as handle:
+            _start_clean_line(handle)
+            handle.write(line.encode("utf-8") + b"\n")
 
     def read_log(self, label: str) -> List[DeltaRecord]:
-        """Every logged record, in file order (missing log → empty)."""
+        """Every logged record, in file order (missing log → empty).
+
+        A final line with no newline that does not parse is a record torn
+        by a crash inside :meth:`append_log`; its delta was never
+        acknowledged, so it reads as never written. Any other malformed
+        line raises :class:`~repro.exceptions.SnapshotError`.
+        """
         path = self.log_path(label)
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
             return []
+        lines = text.splitlines()
         records: List[DeltaRecord] = []
-        for number, line in enumerate(text.splitlines(), start=1):
+        for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 payload = json.loads(line)
             except ValueError as error:
+                if number == len(lines) and not text.endswith("\n"):
+                    break
                 raise SnapshotError(
                     f"malformed delta log {path} line {number}: {error}"
                 ) from error
@@ -638,6 +643,30 @@ class DynamicSnapshotStore:
         path = self.log_path(label)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("")
+
+
+def _start_clean_line(handle: BinaryIO) -> None:
+    """Leave an append-mode log ending in a newline (or empty).
+
+    A crash mid-append can leave a final line without its newline. If
+    that line parses it is a whole record and gets its newline; if not
+    it is a torn record, never acknowledged, and is cut off.
+    """
+    end = handle.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    handle.seek(end - 1)
+    if handle.read(1) == b"\n":
+        return
+    handle.seek(0)
+    text = handle.read()
+    cut = text.rfind(b"\n") + 1
+    try:
+        json.loads(text[cut:])
+    except ValueError:
+        handle.truncate(cut)
+    else:
+        handle.write(b"\n")
 
 
 def ship_deltas(

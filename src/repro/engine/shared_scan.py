@@ -71,11 +71,6 @@ class SharedScanStats:
         """Requests served without a traversal lane of their own."""
         return self.requests - self.states
 
-    @property
-    def dedup_ratio(self) -> float:
-        """Requests per traversal lane (1.0 means nothing was shared)."""
-        return self.requests / self.states if self.states else 1.0
-
 
 class _Lane:
     """One request's buffer between the shared scan and its cursor."""

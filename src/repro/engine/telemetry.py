@@ -409,7 +409,9 @@ class TelemetryStore:
     accumulates across restarts instead of being overwritten. Every
     record carries ``schema``/``session``/``seq``/``ts``; malformed or
     version-mismatched lines raise
-    :class:`~repro.exceptions.TelemetryError`. The conventional location
+    :class:`~repro.exceptions.TelemetryError`, except that a final line
+    with no newline that does not parse (a write torn by a crash) is
+    skipped as never written. The conventional location
     is ``snapshot_dir/telemetry/`` (servers given ``telemetry=True``
     put it there themselves).
     """
@@ -466,6 +468,8 @@ class TelemetryStore:
                     try:
                         parsed = json.loads(line)
                     except ValueError as error:
+                        if not line.endswith("\n"):
+                            break  # a record torn by a crash mid-write
                         raise TelemetryError(
                             f"{path}:{line_number}: not JSON: {error}"
                         ) from None

@@ -30,11 +30,6 @@ class DelayStats:
     step_gaps: List[int] = field(default_factory=list)
 
     @property
-    def wall_mean_gap(self) -> float:
-        gaps = self.outputs + 1  # + the exhaustion notification
-        return self.wall_total / gaps if gaps else 0.0
-
-    @property
     def step_mean_gap(self) -> float:
         if not self.step_gaps:
             return 0.0

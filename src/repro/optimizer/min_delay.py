@@ -36,11 +36,6 @@ class MinDelayResult:
     log_tau: float
     space_budget: float
 
-    @property
-    def delay_exponent_of(self) -> float:
-        """log τ — delays scale as exp of this (base e)."""
-        return self.log_tau
-
     def predicted_space(self, sizes: Mapping[int, int]) -> float:
         """The structure-size term ``Π|R_F|^{u_F} / τ^α`` at the optimum."""
         product = 1.0

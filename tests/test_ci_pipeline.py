@@ -317,6 +317,17 @@ class TestMakefileContract:
         assert "--benchmark-json" in text
         assert "check_smoke_report.py" in text
 
+    def test_bench_smoke_runs_the_theorem_2_path_bench(self):
+        # Five serving entries plus the path bench's three: a smaller
+        # report means some bench was silently not collected.
+        text = MAKEFILE.read_text()
+        target = text[text.index("bench-smoke:"):]
+        target = target[: target.index("\n\n")]
+        assert "benchmarks/bench_engine_serving.py" in target
+        assert "benchmarks/bench_async_serving.py" in target
+        assert "benchmarks/bench_e10_path_decomposition.py" in target
+        assert "check_smoke_report.py $(SMOKE_REPORT) 8" in target
+
     def test_bench_warm_runs_the_snapshot_benchmark(self):
         # `make bench-warm` and the CI step must keep pointing at the
         # benchmark whose assertions actually gate warm-start behavior.

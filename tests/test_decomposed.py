@@ -1,9 +1,15 @@
 """The Theorem 2 structure: per-bag compression over connex decompositions."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
 from repro.core.decomposed import DecomposedRepresentation
+from repro.core.snapshot import decode_snapshot, encode_snapshot
+from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.exceptions import ParameterError, QueryError
@@ -17,6 +23,7 @@ from repro.workloads.queries import (
     figure7_view,
     figure7_database,
     path_view,
+    star_view,
     triangle_view,
 )
 
@@ -191,3 +198,140 @@ class TestValidation:
         dr = DecomposedRepresentation(view, db)
         assert sorted(dr.answer((1, 2))) == [(5,)]
         assert dr.answer((1, 4)) == []  # (1,4) not in R
+
+
+# ----------------------------------------------------------------------
+# The Algorithm 5 walker: every entry point against the counted walk
+# ----------------------------------------------------------------------
+SHAPES = {
+    "path": path_view(4),
+    "star": star_view(3, "fffb"),
+    "tree": parse_view(
+        "T^bfffff(a, b, c, d, e, f) = "
+        "R1(a, b), R2(b, c), R3(b, d), R4(d, e), R5(d, f)"
+    ),
+}
+DOMAIN = range(4)
+VALUE = st.sampled_from(DOMAIN)
+EDGES = st.lists(st.tuples(VALUE, VALUE), max_size=12)
+
+
+def reference(dr, access):
+    """The counted walk: Algorithm 5 with no memo."""
+    return list(dr.enumerate(access, counter=JoinCounter()))
+
+
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    delay=st.sampled_from([0.0, 0.35, 0.8]),
+    refine=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_entry_point_matches_the_counted_walk(shape, delay, refine, data):
+    view = SHAPES[shape]
+    db = Database(
+        [
+            Relation(atom.relation, 2, data.draw(EDGES, label=atom.relation))
+            for atom in view.atoms
+        ]
+    )
+    _, decomposition = connex_fhw(
+        hypergraph_of_view(view), frozenset(view.bound_variables)
+    )
+    dr = DecomposedRepresentation(
+        view,
+        db,
+        decomposition=decomposition,
+        assignment=DelayAssignment.uniform(decomposition, delay),
+        refine=refine,
+    )
+    restored = decode_snapshot(encode_snapshot(dr))
+    width = len(view.bound_variables)
+    accesses = list(itertools.product(DOMAIN, repeat=width))
+    accesses.append((-1,) * width)
+    expected = {access: reference(dr, access) for access in accesses}
+    for access, rows in expected.items():
+        assert sorted(rows) == oracle_answer(view, db, access)
+        assert list(dr.enumerate(access)) == rows
+        assert list(restored.enumerate(access)) == rows
+        assert reference(restored, access) == rows
+        for i, row in enumerate(rows):
+            assert list(dr.enumerate_from(access, row)) == rows[i:]
+            assert list(dr.enumerate_after(access, row)) == rows[i + 1 :]
+            counted = dr.enumerate_after(access, row, counter=JoinCounter())
+            assert list(counted) == rows[i + 1 :]
+    # One shared scan over a mixed batch: duplicates, misses, seeks and
+    # counters; each slot's events are exactly its own stream.
+    batch = accesses + accesses[:3]
+    starts = [
+        expected[a][len(expected[a]) // 2] if k % 2 and expected[a] else None
+        for k, a in enumerate(batch)
+    ]
+    counters = [JoinCounter() if k % 3 == 0 else None for k in range(len(batch))]
+    streams = {k: [] for k in range(len(batch))}
+    for slot, row in dr.shared_enumerate(batch, starts=starts, counters=counters):
+        streams[slot].append(row)
+    for k, access in enumerate(batch):
+        rows = expected[access]
+        skip = rows.index(starts[k]) if starts[k] is not None else 0
+        assert streams[k] == rows[skip:], (k, access)
+    # A slot pruned after its first answer abandons its walk half-way;
+    # the same access later in the scan still gets its whole stream.
+    alive = [True] * len(batch)
+    streams = {k: [] for k in range(len(batch))}
+    for slot, row in dr.shared_enumerate(batch, alive=alive):
+        streams[slot].append(row)
+        alive[slot] = slot >= len(accesses)
+    for k, access in enumerate(batch):
+        want = expected[access] if k >= len(accesses) else expected[access][:1]
+        assert streams[k] == want, (k, access)
+
+
+def _p12_database(seed=2018, length=12, domain=12):
+    """Path-fanout's data: each relation two random permutations."""
+    rng = random.Random(seed)
+    relations = []
+    for i in range(1, length + 1):
+        image = list(range(domain))
+        rng.shuffle(image)
+        shift = 1 + rng.randrange(domain - 1)
+        rows = [(v, image[v]) for v in range(domain)]
+        rows += [(v, image[(v + shift) % domain]) for v in range(domain)]
+        relations.append(Relation(f"R{i}", 2, rows))
+    return Database(relations)
+
+
+class TestBagWalkCounts:
+    ACCESS = (0, 5)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every bag-level enumerate call, as (bag structure, access)."""
+        seen = []
+        original = CompressedRepresentation.enumerate
+
+        def counted(self, access, counter=None):
+            seen.append((id(self), tuple(access)))
+            return original(self, access, counter=counter)
+
+        monkeypatch.setattr(CompressedRepresentation, "enumerate", counted)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def p12(self):
+        return DecomposedRepresentation(path_view(12), _p12_database())
+
+    def test_request_walks_each_bag_access_once(self, p12, calls):
+        rows = list(p12.enumerate(self.ACCESS))
+        assert len(rows) == 356
+        assert len(calls) == len(set(calls)) == 77
+
+    def test_counted_request_keeps_algorithm_5_steps(self, p12, calls):
+        counter = JoinCounter()
+        rows = list(p12.enumerate(self.ACCESS, counter=counter))
+        assert len(rows) == 356
+        # Every visit re-walks its bag: the un-memoized walk's figures.
+        assert len(calls) == 1347
+        assert len(set(calls)) == 77
+        assert counter.steps == 9722

@@ -665,3 +665,66 @@ class TestDurableLogHygiene:
             handle.write("not json\n")
         with pytest.raises(SnapshotError, match="malformed"):
             store.read_log(label)
+
+    def _logged_server(self, tmp_path):
+        """A closed server with two logged deltas: (answers, version, log)."""
+        server = ViewServer(chain_database(), snapshot_dir=tmp_path)
+        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        server.apply_deltas("R", inserts=[(1, 3)])
+        server.apply_deltas("S", deletes=[(4, 7)], inserts=[(4, 9)])
+        answers = all_answers(server, name, [(1,), (2,), (3,)])
+        version = server.delta_version(name)
+        label = server._dynamic_state(name).label
+        server.close()
+        store = DynamicSnapshotStore(tmp_path / "dynamic")
+        return answers, version, store.log_path(label), store, label
+
+    def test_torn_tail_reads_as_never_written(self, tmp_path):
+        answers, version, log, store, label = self._logged_server(tmp_path)
+        with log.open("a") as handle:
+            handle.write('{"schema": 1, "view": "Q", "vers')
+        assert [r.version for r in store.read_log(label)] == [1, 2]
+
+        warm = ViewServer(chain_database(), snapshot_dir=tmp_path)
+        name = warm.register_dynamic(VIEW_TEXT, tau=4.0)
+        assert warm.delta_version(name) == version
+        assert all_answers(warm, name, [(1,), (2,), (3,)]) == answers
+        assert warm.total_builds() == 0
+        # The next append cuts the torn tail and starts a clean line.
+        warm.apply_deltas("R", inserts=[(3, 3)])
+        text = log.read_text()
+        assert text.endswith("\n")
+        assert [json.loads(line)["version"] for line in text.splitlines()] == [
+            1,
+            2,
+            3,
+        ]
+        answers = all_answers(warm, name, [(1,), (2,), (3,)])
+        warm.close()
+
+        again = ViewServer(chain_database(), snapshot_dir=tmp_path)
+        name = again.register_dynamic(VIEW_TEXT, tau=4.0)
+        assert again.delta_version(name) == version + 1
+        assert all_answers(again, name, [(1,), (2,), (3,)]) == answers
+        again.close()
+
+    def test_whole_final_record_without_newline_is_kept(self, tmp_path):
+        _, _, log, store, label = self._logged_server(tmp_path)
+        log.write_text(log.read_text().rstrip("\n"))
+        assert [r.version for r in store.read_log(label)] == [1, 2]
+        warm = ViewServer(chain_database(), snapshot_dir=tmp_path)
+        warm.register_dynamic(VIEW_TEXT, tau=4.0)
+        warm.apply_deltas("R", inserts=[(3, 3)])
+        warm.close()
+        assert [r.version for r in store.read_log(label)] == [1, 2, 3]
+
+    def test_mid_file_corruption_still_fails_loudly(self, tmp_path):
+        _, _, log, store, label = self._logged_server(tmp_path)
+        first, second = log.read_text().splitlines(keepends=True)
+        log.write_text(first + '{"schema": 1, "vers\n' + second.rstrip("\n"))
+        with pytest.raises(SnapshotError, match="line 2"):
+            store.read_log(label)
+        restarted = ViewServer(chain_database(), snapshot_dir=tmp_path)
+        with pytest.raises(SnapshotError, match="malformed"):
+            restarted.register_dynamic(VIEW_TEXT, tau=4.0)
+        restarted.close()

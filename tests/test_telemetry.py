@@ -197,6 +197,24 @@ class TestTelemetryStore:
         with pytest.raises(TelemetryError, match=r"abc\.jsonl:2"):
             TelemetryStore.load(tmp_path)
 
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        store = TelemetryStore(tmp_path, session="abc")
+        store.write_event({"op": "one"})
+        store.write_event({"op": "two"})
+        with store.path.open("a") as handle:
+            handle.write('{"schema": 1, "kind": "ev')
+        records = TelemetryStore.load(tmp_path)
+        assert [r["event"]["op"] for r in records] == ["one", "two"]
+
+    def test_malformed_line_mid_file_is_fatal(self, tmp_path):
+        store = TelemetryStore(tmp_path, session="abc")
+        store.write_event({"op": "one"})
+        with store.path.open("a") as handle:
+            handle.write('{"schema": 1, "kind": "ev\n')
+        store.write_event({"op": "two"})
+        with pytest.raises(TelemetryError, match=r"abc\.jsonl:2"):
+            TelemetryStore.load(tmp_path)
+
     def test_schema_version_mismatch_is_fatal(self, tmp_path):
         store = TelemetryStore(tmp_path, session="abc")
         record = store.write_event({"op": "fine"})
